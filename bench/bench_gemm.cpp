@@ -94,7 +94,7 @@ void pool_parallel_table(bool fast) {
               n);
   std::printf("  %8s %12s %12s %10s\n", "threads", "ms/call", "GF/s", "scaling");
   double base = 0.0;
-  for (int threads : {1, 2, 4}) {
+  for (int threads : {1, 2, 3, 4}) {
     runtime::ThreadPool pool(threads);
     gemm::GemmOptions opts;
     opts.pool = threads > 1 ? &pool : nullptr;

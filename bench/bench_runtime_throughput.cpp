@@ -102,7 +102,6 @@ void mixed_priority_table(VisionTransformer& model, const Dataset& data,
   registry->publish(make_packed_ternary_servable(model, "w2a2-packed"));
 
   runtime::EngineOptions opts;
-  opts.threads = 2;
   opts.max_batch = 16;
   opts.max_delay = std::chrono::microseconds(500);
   opts.concurrent_forwards = 2;
@@ -224,10 +223,9 @@ void gemm_tier_table(bench::JsonWriter* json) {
   std::printf("  row-band scaling, %s tier, m=512 (host cores: %u)\n", nn::gemm::kernel_name(),
               std::thread::hardware_concurrency());
   double band1 = 0.0;
-  for (int threads : {1, 2, 4}) {
+  for (int threads : {1, 2, 3, 4}) {
     runtime::ThreadPool band_pool(threads);
     nn::gemm::GemmOptions o;
-    o.threads = threads;
     o.pool = &band_pool;
     const double g = gflops(512, o);
     if (threads == 1) band1 = g;

@@ -10,7 +10,6 @@ namespace {
 // training forward and the const infer path so they cannot diverge.
 void approx_softmax_step(const Tensor& x, Tensor& y, float invk) {
   const int rows = x.dim(0), m = x.dim(1);
-#pragma omp parallel for schedule(static) if (rows > 16)
   for (int r = 0; r < rows; ++r) {
     const float* xr = x.data() + static_cast<std::size_t>(r) * m;
     float* yr = y.data() + static_cast<std::size_t>(r) * m;
@@ -67,7 +66,6 @@ Tensor ApproxSoftmax::backward(const Tensor& grad_out) {
   Tensor gx({rows, m});                // accumulated dL/dx
   for (int j = k_ - 1; j >= 0; --j) {
     const Tensor& u = cached_u_[static_cast<std::size_t>(j)];
-#pragma omp parallel for schedule(static) if (rows > 16)
     for (int r = 0; r < rows; ++r) {
       const float* xr = cached_x_.data() + static_cast<std::size_t>(r) * m;
       const float* ur = u.data() + static_cast<std::size_t>(r) * m;

@@ -46,7 +46,6 @@ Tensor attention_scores_strided(const float* q, int ldq, std::size_t q_head_stri
                                 int ldk, std::size_t k_head_stride, int bh, int tokens, int dh) {
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
   Tensor scores({bh * tokens, tokens});
-#pragma omp parallel for schedule(static)
   for (int g = 0; g < bh; ++g) {
     float* s = scores.data() + static_cast<std::size_t>(g) * tokens * tokens;
     gemm::gemm_nt(tokens, tokens, dh, q + static_cast<std::size_t>(g) * q_head_stride, ldq,
@@ -62,7 +61,6 @@ Tensor attention_context_strided(const Tensor& attn, const float* v, int ldv,
                                  int dim, int dh) {
   const int bh = batch * heads;
   Tensor ctx({batch * tokens, dim});
-#pragma omp parallel for schedule(static)
   for (int g = 0; g < bh; ++g) {
     const int b = g / heads;
     const int h = g % heads;
@@ -127,7 +125,6 @@ Tensor MultiHeadSelfAttention::infer(const Tensor& x, int batch, int tokens) con
   const int ld = 3 * dim_;
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh_));
   Tensor scores({bh * tokens, tokens});
-#pragma omp parallel for schedule(static)
   for (int g = 0; g < bh; ++g) {
     const int b = g / heads_;
     const int h = g % heads_;
@@ -147,7 +144,6 @@ Tensor MultiHeadSelfAttention::infer(const Tensor& x, int batch, int tokens) con
     attn = softmax_rows(scores);
 
   Tensor ctx({batch * tokens, dim_});
-#pragma omp parallel for schedule(static)
   for (int g = 0; g < bh; ++g) {
     const int b = g / heads_;
     const int h = g % heads_;
@@ -182,7 +178,6 @@ Tensor MultiHeadSelfAttention::backward(const Tensor& grad_out) {
   // dAttn = g_ctx V^T ; dV = attn^T g_ctx.
   Tensor g_attn({bh * tokens, tokens});
   Tensor g_v({bh * tokens, dh_});
-#pragma omp parallel for schedule(static)
   for (int g = 0; g < bh; ++g) {
     const float* gc = g_ctx.data() + static_cast<std::size_t>(g) * tokens * dh_;
     const float* v = cached_v_.data() + static_cast<std::size_t>(g) * tokens * dh_;
@@ -201,7 +196,6 @@ Tensor MultiHeadSelfAttention::backward(const Tensor& grad_out) {
   // dQ = (dS * K) / sqrt(dh) ; dK = (dS^T * Q) / sqrt(dh).
   Tensor g_q({bh * tokens, dh_});
   Tensor g_k({bh * tokens, dh_});
-#pragma omp parallel for schedule(static)
   for (int g = 0; g < bh; ++g) {
     const float* gs = g_scores.data() + static_cast<std::size_t>(g) * tokens * tokens;
     const float* q = cached_q_.data() + static_cast<std::size_t>(g) * tokens * dh_;

@@ -14,10 +14,6 @@
 
 #include "runtime/thread_pool.h"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace ascend::nn::gemm {
 namespace {
 
@@ -476,19 +472,10 @@ void gemm_blocked(int m, int n, int k, const float* a, int lda, const float* b, 
           }
         }
       };
-      if (opts.pool != nullptr && niblocks > 1) {
+      if (opts.pool != nullptr && niblocks > 1)
         opts.pool->parallel_for(0, niblocks, run_iblocks);
-        continue;
-      }
-#ifdef _OPENMP
-      const int nthreads = std::min(opts.threads, niblocks);
-      if (nthreads > 1) {
-#pragma omp parallel for schedule(static) num_threads(nthreads)
-        for (int ib = 0; ib < niblocks; ++ib) run_iblocks(ib, ib + 1);
-        continue;
-      }
-#endif
-      run_iblocks(0, niblocks);
+      else
+        run_iblocks(0, niblocks);
     }
   }
 }
@@ -552,17 +539,6 @@ void gemm_tn(int m, int n, int k, const float* a, int lda, const float* b, int l
 void gemm_nt(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float* c,
              int ldc, const GemmOptions& opts) {
   gemm_dispatch<false, true>(m, n, k, a, lda, b, ldb, c, ldc, opts);
-}
-
-int recommended_threads(long long m, long long n, long long k) {
-#ifdef _OPENMP
-  if (m * n * k > 16384) return omp_get_max_threads();
-#else
-  (void)m;
-  (void)n;
-  (void)k;
-#endif
-  return 1;
 }
 
 namespace {

@@ -1,9 +1,10 @@
 #pragma once
 // ops.h — tensor kernels (matmuls, activations, softmax).
 //
-// The matmul wrappers dispatch to the blocked/tiled kernels in nn/gemm.h by
-// default; set ASCEND_GEMM=reference (or gemm::set_backend) to select the
-// seed's naive scalar loops for bit-exact reproduction of pre-kernel results.
+// The matmul wrappers call the blocked/tiled kernels in nn/gemm.h, serially
+// on the calling thread; set ASCEND_GEMM=reference (or gemm::set_backend) to
+// have those kernels run the seed's naive scalar loops instead, for bit-exact
+// reproduction of pre-kernel results.
 
 #include "nn/tensor.h"
 

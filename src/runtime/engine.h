@@ -52,7 +52,11 @@ struct WatchdogTimeoutError : std::runtime_error {
 };
 
 struct EngineOptions {
-  int threads = 0;    ///< worker pool size; 0 -> hardware_concurrency
+  /// SC worker-pool size of the back-compat (model, ScInferenceConfig)
+  /// constructor only; 0 -> hardware_concurrency. A registry engine ignores
+  /// it: variants bring their own pools (vit::ScServableOptions), and batch
+  /// forwards run on a pool of `concurrent_forwards` workers.
+  int threads = 0;
   int max_batch = 32; ///< dynamic-batching size cutoff
   std::chrono::microseconds max_delay{2000};  ///< dynamic-batching latency cutoff
   bool use_tf_cache = true;  ///< SC shim ctor only: false = per-activation circuit emulation

@@ -392,14 +392,15 @@ bool Server::drain_rbuf(const std::shared_ptr<Connection>& conn) {
 
 void Server::handle_frame(const std::shared_ptr<Connection>& conn, RequestFrame&& frame) {
   if (frame.drain()) {
-    // Graceful-drain control frame: acknowledge, then stop accepting. Work
-    // already accepted keeps resolving; wait_drained() unblocks when the
-    // last owed response has flushed.
+    // Graceful-drain control frame: stop accepting, then acknowledge, so a
+    // client holding the ack already sees the server draining. Work already
+    // accepted keeps resolving; wait_drained() unblocks when the last owed
+    // response has flushed.
+    drain();
     ResponseFrame resp;
     resp.status = Status::kOk;
     resp.request_id = frame.request_id;
     send_response(conn, resp, false);
-    drain();
     return;
   }
   {

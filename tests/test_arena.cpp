@@ -1,19 +1,22 @@
 // Per-forward activation arenas (runtime/arena.h): bump/reset/consolidation
 // mechanics, the thread-local scope plumbing, bit-exactness of arena-backed
 // inference vs plain heap inference for all four serving variants, resize on
-// batch-shape change, isolation of concurrent forwards, and the PR's core
+// batch-shape change, isolation of concurrent forwards, and the core
 // acceptance claim — steady-state allocations per forward == 0 on the sc-lut
-// and w2a2-packed variants (this target links the operator-new interposer;
-// see alloc_interpose in CMakeLists.txt).
+// and w2a2-packed variants, serially on a tiny rig and with two forwards in
+// flight at the vit-mixed serving shape (this target links the operator-new
+// interposer; see alloc_interpose in CMakeLists.txt).
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cstdint>
 #include <numeric>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "nn/rng.h"
 #include "nn/tensor.h"
 #include "runtime/alloc_count.h"
 #include "runtime/arena.h"
@@ -342,6 +345,95 @@ TEST(AllocFree, MmapBackedWeightsStayZeroAllocAtSteadyState) {
   Arena arena;
   EXPECT_EQ(steady_state_allocs(*servable, rig.images, arena), 0u)
       << "mmap-backed forwards must not touch the heap at steady state";
+}
+
+namespace {
+
+/// Steady-state allocations across `in_flight` forward threads running side
+/// by side on one servable, each long-lived and under its own warm arena —
+/// how an engine with concurrent_forwards = `in_flight` runs them. Every pass
+/// serves each of `batches` once. The counter is read only while every
+/// forward thread is parked at a barrier, after its warm-up passes.
+std::uint64_t concurrent_steady_state_allocs(const Servable& servable,
+                                             const std::vector<nn::Tensor>& batches,
+                                             int in_flight, int passes = 5) {
+  std::barrier sync(in_flight + 1);
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(in_flight));
+  for (int t = 0; t < in_flight; ++t)
+    threads.emplace_back([&] {
+      Arena arena;
+      auto pass = [&] {
+        for (const nn::Tensor& images : batches) {
+          ArenaScope scope(arena);
+          (void)servable.infer(images);
+          arena.reset();
+        }
+      };
+      for (int i = 0; i < 3; ++i) pass();
+      sync.arrive_and_wait();  // warm
+      sync.arrive_and_wait();  // counter read
+      for (int i = 0; i < passes; ++i) pass();
+      sync.arrive_and_wait();  // done
+    });
+  sync.arrive_and_wait();
+  const std::uint64_t before = alloc_count();
+  sync.arrive_and_wait();
+  sync.arrive_and_wait();
+  const std::uint64_t after = alloc_count();
+  for (auto& t : threads) t.join();
+  return after - before;
+}
+
+}  // namespace
+
+TEST(AllocFree, BenchShapedConcurrentForwardsStayZeroAlloc) {
+  // The vit-mixed serving shape — the paper's 64 tokens (32 px, patch 4) at
+  // CPU width (dim 64, 4 layers, 4 heads), W2-A2-R16 — with two forwards in
+  // flight, each serving a full batch of 16 and a partial batch of 4 (what
+  // the batcher closes below saturation), and the sc-lut variant on its own
+  // servable pool of hardware_concurrency workers. Every nn kernel runs on
+  // the thread that calls it, so the thread-local GEMM pack scratch of each
+  // forward thread stays warm and no forward touches the heap on any host
+  // shape. (Kernels that fork their own thread teams per call, with a team
+  // size that follows the row count, fail this on multi-core hosts: idle
+  // team threads exit and their replacements re-allocate the scratch.)
+  ASSERT_TRUE(alloc_counting_active());
+  vit::VitConfig top;
+  top.image_size = 32;
+  top.patch_size = 4;
+  top.dim = 64;
+  top.layers = 4;
+  top.heads = 4;
+  top.classes = 10;
+  const int pixels = top.channels * top.image_size * top.image_size;
+  nn::Rng rng(23);
+  std::vector<nn::Tensor> batches;
+  for (const int rows : {16, 4}) {
+    batches.emplace_back(std::vector<int>{rows, pixels});
+    rng.fill_uniform(batches.back(), 0.0f, 1.0f);
+  }
+  vit::VisionTransformer model(top, 17);
+  model.apply_precision(vit::PrecisionSpec::w2a2r16());
+  (void)model.forward(batches.front(), /*training=*/false);  // latch LSQ steps
+
+  vit::ScInferenceConfig sc;
+  sc.softmax.bx = 8;
+  sc.softmax.by = 32;
+  sc.softmax.k = 3;
+  sc.softmax.s1 = 4;
+  sc.softmax.s2 = 2;
+  sc.softmax.alpha_y = 3.0 / 32;
+  sc.use_sc_gelu = true;
+  sc.gelu_bsl = 16;
+  sc.gelu_range = 4.0;
+  const std::pair<const char*, std::shared_ptr<Servable>> variants[] = {
+      {"w2a2-packed", vit::make_packed_ternary_servable(model, "w2a2-packed")},
+      {"sc-lut", vit::make_sc_servable(model, sc, {}, "sc-lut")},
+  };
+  for (const auto& [name, servable] : variants)
+    EXPECT_EQ(concurrent_steady_state_allocs(*servable, batches, /*in_flight=*/2), 0u)
+        << name << ": concurrent steady-state forwards must not touch the heap";
 }
 
 TEST(AllocFree, LoaderSteadyStateDoesNotAllocate) {
