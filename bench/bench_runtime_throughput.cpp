@@ -2,7 +2,7 @@
 //
 // Four questions: (1) what does the transfer-function LUT cache buy over
 // re-emulating the SC circuits per activation, (2) how does throughput scale
-// with the engine's worker-pool size, (3) what do concurrent batch forwards
+// with the SC servable's worker-pool size, (3) what do concurrent batch forwards
 // through the re-entrant const infer path buy on the submit() serving path,
 // and (4) what latency separation does the priority scheduler deliver
 // between interactive and batch traffic when one engine serves several
@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -43,15 +44,34 @@ ScInferenceConfig serving_sc_config() {
   return cfg;
 }
 
+// A registry holding one SC variant ("sc"): LUT-cached or per-activation
+// circuit emulation, its per-activation work on a pool of `threads` workers.
+std::shared_ptr<runtime::ModelRegistry> sc_registry(VisionTransformer& model,
+                                                    const ScInferenceConfig& sc_cfg, int threads,
+                                                    bool cached) {
+  ScServableOptions sopts;
+  sopts.threads = threads;
+  sopts.use_tf_cache = cached;
+  auto registry = std::make_shared<runtime::ModelRegistry>();
+  registry->publish(make_sc_servable(model, sc_cfg, sopts, "sc"));
+  return registry;
+}
+
+// The synchronous bulk path: the dataset in batches of 32 through
+// predict_batch.
 double images_per_sec(VisionTransformer& model, const Dataset& data,
                       const ScInferenceConfig& sc_cfg, int threads, bool cached) {
-  runtime::EngineOptions opts;
-  opts.threads = threads;
-  opts.use_tf_cache = cached;
-  runtime::InferenceEngine engine(model, sc_cfg, opts);
-  engine.evaluate(data, 32);  // warm-up: builds LUTs / touches every code path
+  runtime::InferenceEngine engine(sc_registry(model, sc_cfg, threads, cached));
+  auto pass = [&] {
+    for (int start = 0; start < data.size(); start += 32) {
+      std::vector<int> idx(static_cast<std::size_t>(std::min(32, data.size() - start)));
+      std::iota(idx.begin(), idx.end(), start);
+      (void)engine.predict_batch(take_batch(data, idx).images);
+    }
+  };
+  pass();  // warm-up: touches every code path
   const auto t0 = std::chrono::steady_clock::now();
-  engine.evaluate(data, 32);
+  pass();
   const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return data.size() / s;
 }
@@ -62,11 +82,10 @@ double images_per_sec_submit(VisionTransformer& model, const Dataset& data,
                              const ScInferenceConfig& sc_cfg, int threads,
                              int concurrent_forwards) {
   runtime::EngineOptions opts;
-  opts.threads = threads;
   opts.max_batch = 16;
   opts.max_delay = std::chrono::microseconds(500);
   opts.concurrent_forwards = concurrent_forwards;
-  runtime::InferenceEngine engine(model, sc_cfg, opts);
+  runtime::InferenceEngine engine(sc_registry(model, sc_cfg, threads, /*cached=*/true), opts);
   const int pixels = data.images.dim(1);
   auto drain = [&] {
     std::vector<std::future<runtime::Prediction>> futs;
@@ -172,10 +191,10 @@ void mixed_priority_table(VisionTransformer& model, const Dataset& data,
               static_cast<unsigned long long>(st.batches), st.avg_batch(), st.max_in_flight);
 }
 
-// Micro-kernel tier ladder (base / avx2 / avx512 / avx512bf16) on a ViT-ish
-// MLP GEMM, then the row-band GemmOptions scaling curve at the auto tier.
-// The f32 tiers are bit-identical to each other (asserted in test_gemm), so
-// this table is pure throughput; bf16 is the opt-in accuracy trade.
+// Micro-kernel tier ladder (base / avx2 / avx512) on a ViT-ish MLP GEMM,
+// then the row-band GemmOptions scaling curve at the auto tier. The tiers
+// are bit-identical to each other (asserted in test_gemm), so this table is
+// pure throughput.
 void gemm_tier_table(bench::JsonWriter* json) {
   using nn::gemm::Kernel;
   const Kernel saved = nn::gemm::kernel();
@@ -206,8 +225,7 @@ void gemm_tier_table(bench::JsonWriter* json) {
     const char* name;
   };
   for (const TierRow row : {TierRow{Kernel::kBase, "base"}, TierRow{Kernel::kAvx2, "avx2"},
-                            TierRow{Kernel::kAvx512, "avx512"},
-                            TierRow{Kernel::kAvx512Bf16, "avx512bf16"}}) {
+                            TierRow{Kernel::kAvx512, "avx512"}}) {
     if (!nn::gemm::kernel_supported(row.kernel)) {
       std::printf("  %-12s %12s\n", row.name, "n/a (cpu)");
       continue;
@@ -295,11 +313,10 @@ void allocation_audit(VisionTransformer& model, const Dataset& data,
 void ingest_comparison(VisionTransformer& model, const Dataset& data,
                        const ScInferenceConfig& sc_cfg, bench::JsonWriter* json) {
   runtime::EngineOptions opts;
-  opts.threads = 2;
   opts.max_batch = 16;
   opts.max_delay = std::chrono::microseconds(500);
   opts.concurrent_forwards = 2;
-  runtime::InferenceEngine engine(model, sc_cfg, opts);
+  runtime::InferenceEngine engine(sc_registry(model, sc_cfg, 2, /*cached=*/true), opts);
 
   const int pixels = data.images.dim(1);
   const int batch = 16;

@@ -24,10 +24,11 @@ struct ScInferenceConfig {
   double gelu_range = 6.0;        ///< +- input range covered by the GELU block
 };
 
-/// Top-1 accuracy with the SC nonlinear blocks swapped in. The model's hooks
-/// are restored on exit. Thin wrapper over runtime::InferenceEngine (see
-/// runtime/engine.h), which serves the nonlinear blocks from the tf_cache
-/// LUTs and spreads the per-activation SC emulation across a worker pool.
+/// Top-1 accuracy with the SC nonlinear blocks swapped in: evaluates
+/// make_sc_servable(model, cfg) (vit/servable.h), a serving clone whose
+/// softmax/GELU come from the tf_cache LUTs (bit-exact with the circuit
+/// emulators) with the per-activation work spread over a worker pool. The
+/// model itself is not modified.
 double evaluate_sc(VisionTransformer& model, const Dataset& data, const ScInferenceConfig& cfg,
                    int batch_size = 128);
 

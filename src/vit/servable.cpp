@@ -13,105 +13,89 @@ namespace {
 
 using nn::Tensor;
 
-/// Servable over a VisionTransformer — owned serving clone or a caller-owned
-/// instance — with optional SC nonlinear-block hooks installed on it for the
-/// servable's lifetime. infer() is const and re-entrant: the model's const
-/// infer path writes no member state, and the hooks only read immutable LUTs
-/// (or copy per-call emulator instances from an immutable prototype).
+/// Servable owning a serving VisionTransformer, with optional SC
+/// nonlinear-block hooks installed on it. infer() is const and re-entrant:
+/// the model's const infer path writes no member state, and the hooks only
+/// read immutable LUTs (or copy per-call emulator instances from an
+/// immutable prototype).
 class VitServable final : public runtime::Servable {
  public:
-  VitServable(VisionTransformer* model, std::unique_ptr<VisionTransformer> owned,
-              std::string variant_id, std::shared_ptr<const void> retain = nullptr)
-      : retain_(std::move(retain)),
-        model_(model),
-        owned_(std::move(owned)),
-        variant_id_(std::move(variant_id)) {
+  VitServable(std::unique_ptr<VisionTransformer> model, std::string variant_id,
+              std::shared_ptr<const void> retain)
+      : retain_(std::move(retain)), model_(std::move(model)), variant_id_(std::move(variant_id)) {
     const VitConfig& cfg = model_->config();
     input_dim_ = cfg.channels * cfg.image_size * cfg.image_size;
     output_dim_ = cfg.classes;
   }
 
-  /// Installs the SC hooks from `cfg`; the model's hooks belong to this
-  /// servable until destruction.
+  /// Installs the SC hooks from `cfg` on the owned model.
   void install_sc_hooks(const ScInferenceConfig& cfg, const ScServableOptions& opts) {
-    if (!opts.pool && !owned_pool_)
+    if (!opts.pool)
       owned_pool_ = std::make_unique<runtime::ThreadPool>(
           opts.threads > 0 ? opts.threads : default_threads());
     runtime::ThreadPool* pool = opts.pool ? opts.pool : owned_pool_.get();
     runtime::TfCache* cache = opts.cache ? opts.cache : &runtime::global_tf_cache();
-    hooks_installed_ = true;
-    try {
-      if (cfg.use_sc_softmax) {
-        sc::SoftmaxIterConfig sm = cfg.softmax;
-        sm.m = model_->config().tokens();
-        sm.validate();
-        const runtime::SoftmaxLut* lut = opts.use_tf_cache ? &cache->softmax(sm) : nullptr;
-        model_->set_softmax_hook([sm, lut, pool](const Tensor& scores) {
-          const int rows = scores.dim(0), m = scores.dim(1);
-          // `out` is carved from the forward's arena when one is installed;
-          // the row scratch is per-thread and grow-only — at steady state
-          // this hook performs zero heap allocations (the emulated
-          // softmax_iterative_sc fallback still allocates internally).
-          Tensor out = Tensor::uninitialized({rows, m});
-          pool->parallel_for(0, rows, [&](int lo, int hi) {
-            thread_local std::vector<double> row, y;
-            if (row.size() < static_cast<std::size_t>(m)) {
+    if (cfg.use_sc_softmax) {
+      sc::SoftmaxIterConfig sm = cfg.softmax;
+      sm.m = model_->config().tokens();
+      sm.validate();
+      const runtime::SoftmaxLut* lut = opts.use_tf_cache ? &cache->softmax(sm) : nullptr;
+      model_->set_softmax_hook([sm, lut, pool](const Tensor& scores) {
+        const int rows = scores.dim(0), m = scores.dim(1);
+        // `out` is carved from the forward's arena when one is installed;
+        // the row scratch is per-thread and grow-only — at steady state
+        // this hook performs zero heap allocations (the emulated
+        // softmax_iterative_sc fallback still allocates internally).
+        Tensor out = Tensor::uninitialized({rows, m});
+        pool->parallel_for(0, rows, [&](int lo, int hi) {
+          thread_local std::vector<double> row, y;
+          if (row.size() < static_cast<std::size_t>(m)) {
+            row.resize(static_cast<std::size_t>(m));
+            y.resize(static_cast<std::size_t>(m));
+          }
+          for (int r = lo; r < hi; ++r) {
+            for (int c = 0; c < m; ++c) row[static_cast<std::size_t>(c)] = scores.at(r, c);
+            if (lut) {
+              (*lut)(row.data(), y.data());
+            } else {
               row.resize(static_cast<std::size_t>(m));
-              y.resize(static_cast<std::size_t>(m));
+              const auto yv = sc::softmax_iterative_sc(row, sm);
+              std::copy(yv.begin(), yv.end(), y.begin());
             }
-            for (int r = lo; r < hi; ++r) {
-              for (int c = 0; c < m; ++c) row[static_cast<std::size_t>(c)] = scores.at(r, c);
-              if (lut) {
-                (*lut)(row.data(), y.data());
-              } else {
-                row.resize(static_cast<std::size_t>(m));
-                const auto yv = sc::softmax_iterative_sc(row, sm);
-                std::copy(yv.begin(), yv.end(), y.begin());
-              }
-              for (int c = 0; c < m; ++c)
-                out.at(r, c) = static_cast<float>(y[static_cast<std::size_t>(c)]);
-            }
-          });
-          return out;
+            for (int c = 0; c < m; ++c)
+              out.at(r, c) = static_cast<float>(y[static_cast<std::size_t>(c)]);
+          }
         });
-      }
-      if (cfg.use_sc_gelu) {
-        const runtime::GateSiLut* lut = nullptr;
-        std::shared_ptr<const sc::GateAssistedSI> proto;
-        if (opts.use_tf_cache)
-          lut = &cache->gelu(cfg.gelu_bsl, -cfg.gelu_range, cfg.gelu_range, 16);
-        else
-          proto = std::make_shared<const sc::GateAssistedSI>(
-              sc::make_gelu_block(cfg.gelu_bsl, -cfg.gelu_range, cfg.gelu_range, 16));
-        model_->set_gelu_hook([lut, proto, pool](const Tensor& x) {
-          // Per-call emulator instance: concurrent forwards never share one
-          // (reads within the call are const, so the chunks may share it).
-          std::unique_ptr<const sc::GateAssistedSI> block;
-          if (!lut) block = std::make_unique<const sc::GateAssistedSI>(*proto);
-          Tensor y = Tensor::uninitialized(x.shape());
-          pool->parallel_for(0, static_cast<int>(x.size()), [&](int lo, int hi) {
-            for (int i = lo; i < hi; ++i) {
-              const std::size_t s = static_cast<std::size_t>(i);
-              y[s] = static_cast<float>(lut ? (*lut)(x[s]) : block->transfer(x[s]));
-            }
-          });
-          return y;
+        return out;
+      });
+    }
+    if (cfg.use_sc_gelu) {
+      const runtime::GateSiLut* lut = nullptr;
+      std::shared_ptr<const sc::GateAssistedSI> proto;
+      if (opts.use_tf_cache)
+        lut = &cache->gelu(cfg.gelu_bsl, -cfg.gelu_range, cfg.gelu_range, 16);
+      else
+        proto = std::make_shared<const sc::GateAssistedSI>(
+            sc::make_gelu_block(cfg.gelu_bsl, -cfg.gelu_range, cfg.gelu_range, 16));
+      model_->set_gelu_hook([lut, proto, pool](const Tensor& x) {
+        // Per-call emulator instance: concurrent forwards never share one
+        // (reads within the call are const, so the chunks may share it).
+        std::unique_ptr<const sc::GateAssistedSI> block;
+        if (!lut) block = std::make_unique<const sc::GateAssistedSI>(*proto);
+        Tensor y = Tensor::uninitialized(x.shape());
+        pool->parallel_for(0, static_cast<int>(x.size()), [&](int lo, int hi) {
+          for (int i = lo; i < hi; ++i) {
+            const std::size_t s = static_cast<std::size_t>(i);
+            y[s] = static_cast<float>(lut ? (*lut)(x[s]) : block->transfer(x[s]));
+          }
         });
-      }
-    } catch (...) {
-      // A half-installed hook must not outlive the failed construction.
-      model_->clear_hooks();
-      hooks_installed_ = false;
-      throw;
+        return y;
+      });
     }
   }
 
-  ~VitServable() override {
-    if (hooks_installed_) model_->clear_hooks();
-  }
-
   Tensor infer(const Tensor& batch) const override {
-    return static_cast<const VisionTransformer*>(model_)->infer(batch);
+    return static_cast<const VisionTransformer&>(*model_).infer(batch);
   }
   int input_dim() const override { return input_dim_; }
   int output_dim() const override { return output_dim_; }
@@ -123,17 +107,15 @@ class VitServable final : public runtime::Servable {
     return hc > 0 ? static_cast<int>(hc) : 1;
   }
 
-  // Declared before owned_ so it is destroyed *after* the model: when the
+  // Declared before model_ so it is destroyed *after* the model: when the
   // model's weights are borrowed views into an mmap'd checkpoint, the anchor
   // (the MmapCheckpoint) must outlive every tensor pointing into it.
   std::shared_ptr<const void> retain_;
-  VisionTransformer* model_;
-  std::unique_ptr<VisionTransformer> owned_;
+  std::unique_ptr<VisionTransformer> model_;
   std::unique_ptr<runtime::ThreadPool> owned_pool_;
   std::string variant_id_;
   int input_dim_ = 0;
   int output_dim_ = 0;
-  bool hooks_installed_ = false;
 };
 
 }  // namespace
@@ -142,8 +124,7 @@ std::shared_ptr<runtime::Servable> make_fp32_servable(VisionTransformer& model,
                                                       std::string variant_id) {
   std::unique_ptr<VisionTransformer> clone = model.clone_for_serving();
   clone->apply_precision(PrecisionSpec::fp());
-  VisionTransformer* raw = clone.get();
-  return std::make_shared<VitServable>(raw, std::move(clone), std::move(variant_id));
+  return make_servable_over(std::move(clone), std::move(variant_id));
 }
 
 std::shared_ptr<runtime::Servable> make_packed_ternary_servable(VisionTransformer& model,
@@ -152,36 +133,20 @@ std::shared_ptr<runtime::Servable> make_packed_ternary_servable(VisionTransforme
   if (p.w_bsl != 2 || p.a_bsl != 2)
     throw std::invalid_argument(
         "make_packed_ternary_servable: model precision must be ternary W2-A2, got " + p.name());
-  std::unique_ptr<VisionTransformer> clone = model.clone_for_serving();
-  VisionTransformer* raw = clone.get();
-  return std::make_shared<VitServable>(raw, std::move(clone), std::move(variant_id));
+  return make_servable_over(model.clone_for_serving(), std::move(variant_id));
 }
 
 std::shared_ptr<runtime::Servable> make_sc_servable(VisionTransformer& model,
                                                     const ScInferenceConfig& cfg,
                                                     ScServableOptions opts,
                                                     std::string variant_id) {
-  std::unique_ptr<VisionTransformer> clone = model.clone_for_serving();
-  VisionTransformer* raw = clone.get();
-  auto servable = std::make_shared<VitServable>(raw, std::move(clone), std::move(variant_id));
-  servable->install_sc_hooks(cfg, opts);
-  return servable;
-}
-
-std::shared_ptr<runtime::Servable> make_sc_servable_in_place(VisionTransformer& model,
-                                                             const ScInferenceConfig& cfg,
-                                                             ScServableOptions opts,
-                                                             std::string variant_id) {
-  auto servable = std::make_shared<VitServable>(&model, nullptr, std::move(variant_id));
-  servable->install_sc_hooks(cfg, opts);
-  return servable;
+  return make_sc_servable_over(model.clone_for_serving(), cfg, opts, std::move(variant_id));
 }
 
 std::shared_ptr<runtime::Servable> make_servable_over(std::unique_ptr<VisionTransformer> model,
                                                       std::string variant_id,
                                                       std::shared_ptr<const void> retain) {
-  VisionTransformer* raw = model.get();
-  return std::make_shared<VitServable>(raw, std::move(model), std::move(variant_id),
+  return std::make_shared<VitServable>(std::move(model), std::move(variant_id),
                                        std::move(retain));
 }
 
@@ -190,8 +155,7 @@ std::shared_ptr<runtime::Servable> make_sc_servable_over(std::unique_ptr<VisionT
                                                          ScServableOptions opts,
                                                          std::string variant_id,
                                                          std::shared_ptr<const void> retain) {
-  VisionTransformer* raw = model.get();
-  auto servable = std::make_shared<VitServable>(raw, std::move(model), std::move(variant_id),
+  auto servable = std::make_shared<VitServable>(std::move(model), std::move(variant_id),
                                                 std::move(retain));
   servable->install_sc_hooks(cfg, opts);
   return servable;

@@ -15,11 +15,8 @@
 // Register any mix in a runtime::ModelRegistry and point an InferenceEngine
 // at it; requests then pick a variant per call (A/B fidelity, mixed
 // precision tiers) and variants hot-swap via ModelRegistry::publish.
-//
-// make_sc_servable_in_place drives the *caller's* model instead of a clone
-// (hooks installed at construction, restored on destruction) — the engine's
-// back-compat (model, ScInferenceConfig) constructor uses it to reproduce
-// the pre-registry behaviour bit-exactly.
+// Each make_* is "clone, then make_servable_over / make_sc_servable_over":
+// the source model's hooks and precision are never touched.
 
 #include <memory>
 #include <string>
@@ -63,14 +60,6 @@ std::shared_ptr<runtime::Servable> make_sc_servable(VisionTransformer& model,
                                                     const ScInferenceConfig& cfg,
                                                     ScServableOptions opts = {},
                                                     std::string variant_id = "sc");
-
-/// SC servable over the caller's model itself (no clone): exclusive use of
-/// the model's hooks while alive, restored on destruction. The model must
-/// outlive the servable; use make_sc_servable for multi-variant registries.
-std::shared_ptr<runtime::Servable> make_sc_servable_in_place(VisionTransformer& model,
-                                                             const ScInferenceConfig& cfg,
-                                                             ScServableOptions opts = {},
-                                                             std::string variant_id = "sc");
 
 /// Servable taking ownership of an already-prepared serving model — no
 /// clone, no precision change. Built for checkpoint cold-start

@@ -120,7 +120,7 @@ TEST(GemmBlocked, AttentionInferMatchesReferenceBackend) {
 }
 
 // ---------------------------------------------------------------------------
-// Micro-kernel tiers (base / avx2 / avx512 / avx512bf16)
+// Micro-kernel tiers (base / avx2 / avx512)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -193,30 +193,6 @@ TEST(KernelTiers, Avx512MatchesReferenceAcrossAwkwardShapes) {
     gemm::set_backend(gemm::Backend::kBlocked);
     const Tensor got = matmul(a, b);
     EXPECT_LE(max_abs_diff(ref, got), k <= 128 ? 1e-5f : 1e-4f) << m << "x" << k << "x" << n;
-  }
-}
-
-TEST(KernelTiers, Bf16WithinTolerance) {
-  // The opt-in tier rounds both operands to bf16 (8 mantissa bits) and
-  // pair-sums, so agreement with f32 is approximate: error grows like
-  // sqrt(k) * 2^-8 for unit-normal data.
-  if (!gemm::kernel_supported(gemm::Kernel::kAvx512Bf16))
-    GTEST_SKIP() << "host lacks AVX512-BF16";
-  KernelGuard guard;
-  BackendGuard bguard;
-  gemm::set_backend(gemm::Backend::kBlocked);
-  Rng rng(21);
-  for (const auto& [m, k, n] :
-       {std::array<int, 3>{8, 64, 32}, {65, 67, 63}, {13, 280, 31}, {96, 96, 96}}) {
-    const Tensor a = random_tensor({m, k}, rng);
-    const Tensor b = random_tensor({k, n}, rng);
-    gemm::set_kernel(gemm::Kernel::kAvx512);
-    const Tensor f32 = matmul(a, b);
-    gemm::set_kernel(gemm::Kernel::kAvx512Bf16);
-    const Tensor bf16 = matmul(a, b);
-    EXPECT_LE(max_abs_diff(f32, bf16), 0.05f * std::sqrt(static_cast<float>(k)))
-        << m << "x" << k << "x" << n;
-    expect_bitwise_equal(matmul(a, b), bf16, "bf16 run-to-run");
   }
 }
 

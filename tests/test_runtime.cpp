@@ -15,6 +15,7 @@
 #include "runtime/engine.h"
 #include "runtime/tf_cache.h"
 #include "runtime/thread_pool.h"
+#include "test_util.h"
 #include "vit/train.h"
 
 using namespace ascend;
@@ -435,33 +436,15 @@ TEST(InferenceEngine, EvaluateScMatchesManualCircuitHooks) {
 
   // Reference: the pre-runtime code path — hooks built directly on the
   // circuit emulators, evaluated through vit::evaluate.
-  sc::SoftmaxIterConfig sm = cfg.softmax;
-  sm.m = top.tokens();
-  model.set_softmax_hook([sm](const nn::Tensor& scores) {
-    nn::Tensor out({scores.dim(0), scores.dim(1)});
-    std::vector<double> row(static_cast<std::size_t>(scores.dim(1)));
-    for (int r = 0; r < scores.dim(0); ++r) {
-      for (int c = 0; c < scores.dim(1); ++c) row[static_cast<std::size_t>(c)] = scores.at(r, c);
-      const auto y = sc::softmax_iterative_sc(row, sm);
-      for (int c = 0; c < scores.dim(1); ++c)
-        out.at(r, c) = static_cast<float>(y[static_cast<std::size_t>(c)]);
-    }
-    return out;
-  });
-  auto block = std::make_shared<sc::GateAssistedSI>(
-      sc::make_gelu_block(cfg.gelu_bsl, -cfg.gelu_range, cfg.gelu_range, 16));
-  model.set_gelu_hook([block](const nn::Tensor& x) {
-    nn::Tensor y(x.shape());
-    for (std::size_t i = 0; i < x.size(); ++i) y[i] = static_cast<float>(block->transfer(x[i]));
-    return y;
-  });
+  ascend::testing::install_circuit_hooks(model, cfg);
   const double ref_acc = vit::evaluate(model, data);
   model.clear_hooks();
 
   const double engine_acc = vit::evaluate_sc(model, data, cfg);
   EXPECT_EQ(engine_acc, ref_acc);
 
-  // The engine restored the hooks: a plain evaluate now uses exact blocks.
+  // evaluate_sc served a clone: the model stays hook-free, so a plain
+  // evaluate uses exact blocks.
   const double float_acc = vit::evaluate(model, data);
   const double float_acc2 = vit::evaluate(model, data);
   EXPECT_EQ(float_acc, float_acc2);
@@ -473,17 +456,12 @@ TEST(InferenceEngine, CachedAndUncachedPathsAgree) {
   const vit::Dataset data = vit::make_synthetic_vision(32, top.classes, 32, top.image_size);
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
-  EngineOptions cached;
+  vit::ScServableOptions cached;
   cached.threads = 2;
-  double acc_cached;
-  {
-    InferenceEngine engine(model, cfg, cached);
-    acc_cached = engine.evaluate(data);
-  }
-  EngineOptions uncached = cached;
+  const double acc_cached = vit::evaluate(*vit::make_sc_servable(model, cfg, cached), data);
+  vit::ScServableOptions uncached = cached;
   uncached.use_tf_cache = false;
-  InferenceEngine engine(model, cfg, uncached);
-  EXPECT_EQ(engine.evaluate(data), acc_cached);
+  EXPECT_EQ(vit::evaluate(*vit::make_sc_servable(model, cfg, uncached), data), acc_cached);
 }
 
 TEST(InferenceEngine, SubmitAgreesWithSynchronousBatchPath) {
@@ -493,10 +471,9 @@ TEST(InferenceEngine, SubmitAgreesWithSynchronousBatchPath) {
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
   EngineOptions opts;
-  opts.threads = 2;
   opts.max_batch = 8;
   opts.max_delay = std::chrono::microseconds(5000);
-  InferenceEngine engine(model, cfg, opts);
+  InferenceEngine engine(ascend::testing::sc_registry(model, cfg, 2), opts);
 
   std::vector<int> idx(static_cast<std::size_t>(data.size()));
   std::iota(idx.begin(), idx.end(), 0);
@@ -530,10 +507,9 @@ TEST(InferenceEngine, MixedSizeBatchFailsOnlyTheOddRequest) {
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
   EngineOptions opts;
-  opts.threads = 1;
   opts.max_batch = 2;  // force the good and the bad request into one batch
   opts.max_delay = std::chrono::microseconds(500'000);
-  InferenceEngine engine(model, cfg, opts);
+  InferenceEngine engine(ascend::testing::sc_registry(model, cfg, 1), opts);
 
   const int pixels = top.channels * top.image_size * top.image_size;
   auto good = engine.submit(std::vector<float>(static_cast<std::size_t>(pixels), 0.1f));

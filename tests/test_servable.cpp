@@ -18,6 +18,7 @@
 #include "runtime/engine.h"
 #include "runtime/registry.h"
 #include "runtime/servable.h"
+#include "test_util.h"
 #include "vit/model.h"
 #include "vit/servable.h"
 #include "vit/train.h"
@@ -278,7 +279,6 @@ namespace {
 
 EngineOptions quick_engine_opts() {
   EngineOptions opts;
-  opts.threads = 1;
   opts.max_batch = 4;
   opts.max_delay = std::chrono::microseconds(500);
   opts.concurrent_forwards = 1;
@@ -492,33 +492,23 @@ TEST(VitServables, PackedTernaryAdapterMatchesSourceAndFp32Differs) {
   EXPECT_THROW(vit::make_packed_ternary_servable(fp_model), std::invalid_argument);
 }
 
-TEST(VitServables, ScAdapterMatchesInPlaceEngineAndLeavesSourceHookFree) {
+TEST(VitServables, ScAdapterMatchesCircuitHooksAndLeavesSourceHookFree) {
   const vit::VitConfig top = tiny_topology();
   const vit::Dataset data = vit::make_synthetic_vision(16, top.classes, 73, top.image_size);
   vit::VisionTransformer model(top, /*seed=*/64);
   const vit::ScInferenceConfig cfg = tiny_sc_config();
 
-  // Reference: the back-compat single-model engine (hooks on `model`).
-  EngineOptions opts = quick_engine_opts();
-  double ref_acc;
-  {
-    InferenceEngine ref_engine(model, cfg, opts);
-    ref_acc = ref_engine.evaluate(data);
-  }
+  // Reference: hooks built directly on the circuit emulators, on `model`.
+  ascend::testing::install_circuit_hooks(model, cfg);
+  const double ref_acc = vit::evaluate(model, data);
+  model.clear_hooks();
 
-  // Cloned SC adapters (cached and emulated) under the registry engine.
-  auto reg = std::make_shared<ModelRegistry>();
+  // Cloned SC adapters, LUT-cached and circuit-emulated.
   vit::ScServableOptions sopts;
   sopts.threads = 1;
-  reg->publish(vit::make_sc_servable(model, cfg, sopts, "sc-lut"));
+  EXPECT_EQ(vit::evaluate(*vit::make_sc_servable(model, cfg, sopts, "sc-lut"), data), ref_acc);
   sopts.use_tf_cache = false;
-  reg->publish(vit::make_sc_servable(model, cfg, sopts, "sc-emu"));
-  reg->publish(vit::make_fp32_servable(model, "fp32"));
-  EngineOptions ropts = quick_engine_opts();
-  ropts.default_variant = "sc-lut";
-  InferenceEngine engine(reg, ropts);
-  EXPECT_EQ(engine.evaluate(data, 128, "sc-lut"), ref_acc);
-  EXPECT_EQ(engine.evaluate(data, 128, "sc-emu"), ref_acc);
+  EXPECT_EQ(vit::evaluate(*vit::make_sc_servable(model, cfg, sopts, "sc-emu"), data), ref_acc);
 
   // The clones never touched the source model's hooks: a plain evaluate is
   // repeatable and hook-free.
